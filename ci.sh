@@ -96,12 +96,33 @@ cmp /tmp/viol_exact.$$ /tmp/viol_compact.$$
 rm -f /tmp/viol_exact.$$ /tmp/viol_compact.$$
 echo ok
 
+echo "== pinned state counts (expensive rows; internal/core TestPinnedStateCounts pins the cheap ones: a state-merging encoding drops them) =="
+go build -o /tmp/cnetverify.$$ ./cmd/cnetverify
+pin_states() {
+    want=$1
+    shift
+    got=$(/tmp/cnetverify.$$ "$@" | grep -o 'states=[0-9]*')
+    if [ "$got" != "states=$want" ]; then
+        echo "cnetverify $*: $got, pinned states=$want"
+        exit 1
+    fi
+}
+pin_states 205768 -world s1 -timing
+pin_states 153915 -world s6 -timing
+pin_states 7140 -world multiue-shared -sym -workers 4
+rm -f /tmp/cnetverify.$$
+echo ok
+
 echo "== visited-table race leg (lock-free claims, min-depth merges, cooperative growth) =="
 go test -race -run 'TestVTable' ./internal/check
 
 echo "== alloc budgets (flat visited table + canonical hashing stay on the alloc-free hot path) =="
 go test -run 'TestScreenAllocBudget|TestScreenSymAllocBudget' ./internal/core
 go test -run 'TestAppendCanonicalHashAllocFree' ./internal/model
+
+echo "== go test -race (model: concurrent first use of the layout memos and the digest registry) =="
+go test -race ./internal/model
+go test -race -count=10 -run 'TestConcurrentFirstEncode' ./internal/model
 
 echo "== go test -race (concurrent packages) =="
 go test -race ./internal/netemu ./internal/emu ./internal/fixes

@@ -150,7 +150,7 @@ type Options struct {
 	// not a dedup fixpoint to quotient). The visited set keys states by
 	// model.World.AppendCanonicalHash instead of AppendHash: per the
 	// world's Symmetry descriptor, the per-replica sub-encodings are
-	// sorted lexicographically before the inline FNV hash, so all n!
+	// sorted lexicographically before fingerprinting, so all n!
 	// permutations of an n-replica state share one visited entry and the
 	// exploration walks the quotient. A world without a descriptor is
 	// unaffected (the canonical encoding degenerates to the plain one).

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/hex"
 	"flag"
 	"fmt"
 	"os"
@@ -31,8 +30,10 @@ func goldenWorlds() []Scoped {
 
 // renderGolden serializes the first discovered violation of a world —
 // property, description, every step of the counterexample, and the
-// hex canonical encoding of the state Replay reaches — into the format
-// stored under testdata/golden.
+// state Replay reaches, rendered line by line by model.World.String —
+// into the format stored under testdata/golden. The rendering names
+// every component, so the goldens do not pin the checker's internal
+// state encoding.
 func renderGolden(s Scoped, v check.Violation) (string, error) {
 	end, err := check.Replay(s.World, v.Path)
 	if err != nil {
@@ -46,7 +47,11 @@ func renderGolden(s Scoped, v check.Violation) (string, error) {
 	for i, st := range v.Path {
 		fmt.Fprintf(&b, "%3d. [%s] %s\n", i+1, st.Kind, st)
 	}
-	fmt.Fprintf(&b, "final-state: %s\n", hex.EncodeToString(end.Encode(nil)))
+	for _, line := range strings.SplitAfter(end.String(), "\n") {
+		if line != "" {
+			fmt.Fprintf(&b, "final-state: %s", line)
+		}
+	}
 	return b.String(), nil
 }
 

@@ -55,6 +55,15 @@ func TestSymViolationSetsMatchMultiUE(t *testing.T) {
 					for _, sym := range []bool{false, true} {
 						for _, workers := range []int{1, 8} {
 							res := runSym(t, mk(fixed), por, sym, workers)
+							// Absolute counts of the 3-UE worlds (see
+							// TestPinnedStateCounts), pinned on runs this
+							// matrix makes anyway.
+							if n == 3 && !fixed && !por && workers == 1 {
+								pinned := map[bool]int{false: 39304, true: 7140}[sym]
+								if res.States != pinned {
+									t.Errorf("sym=%v: %d states, pinned %d", sym, res.States, pinned)
+								}
+							}
 							if got := violationSet(res); !reflect.DeepEqual(got, want) {
 								t.Errorf("por=%v sym=%v workers=%d changes the violation set:\n  got:  %q\n  want: %q",
 									por, sym, workers, got, want)

@@ -13,7 +13,9 @@ package fsm
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"cnetverifier/internal/types"
 )
@@ -333,8 +335,12 @@ func (m *Machine) Save(u *MachineUndo) {
 	u.over = append(u.over[:0], m.over...)
 }
 
-// Restore rewinds the machine to a Save point.
+// Restore rewinds the machine to a Save point. A machine the steps
+// since Save left untouched keeps its memoized encoding.
 func (m *Machine) Restore(u *MachineUndo) {
+	if m.state == u.state && slices.Equal(m.vars, u.vars) && slices.Equal(m.over, u.over) {
+		return
+	}
 	m.state = u.state
 	m.vars = append(m.vars[:0], u.vars...)
 	m.over = append(m.over[:0], u.over...)
@@ -342,7 +348,9 @@ func (m *Machine) Restore(u *MachineUndo) {
 }
 
 // Encode appends the canonical binary encoding of the machine's state
-// to buf: state name (NUL-terminated), the declared variable slab in
+// to buf: the control state as a u16 ordinal into the spec's sorted
+// States() list (a state the spec never mentions writes stateEscape
+// and its NUL-terminated name instead), the declared variable slab in
 // slot order (4 bytes LE each; the count is fixed by the spec layout),
 // then the overflow count and the sorted overflow name/value pairs.
 // The encoding is memoized until the next mutation, so unchanged
@@ -355,22 +363,39 @@ func (m *Machine) Encode(buf []byte) []byte {
 }
 
 func (m *Machine) encode(dst []byte) []byte {
-	var tmp [4]byte
-	dst = append(dst, m.state...)
-	dst = append(dst, 0)
-	for _, v := range m.vars {
-		binary.LittleEndian.PutUint32(tmp[:], uint32(v))
-		dst = append(dst, tmp[:]...)
+	if o, ok := m.lay.ordinal(m.state); ok {
+		dst = binary.LittleEndian.AppendUint16(dst, o)
+	} else {
+		dst = binary.LittleEndian.AppendUint16(dst, stateEscape)
+		dst = append(dst, m.state...)
+		dst = append(dst, 0)
 	}
-	binary.LittleEndian.PutUint16(tmp[:2], uint16(len(m.over)))
-	dst = append(dst, tmp[:2]...)
+	for _, v := range m.vars {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
+	}
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(m.over)))
 	for _, ov := range m.over {
 		dst = append(dst, ov.name...)
 		dst = append(dst, 0)
-		binary.LittleEndian.PutUint32(tmp[:], uint32(ov.val))
-		dst = append(dst, tmp[:]...)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(ov.val))
 	}
 	return dst
+}
+
+// String renders the machine's logical state for reports and goldens:
+// the control state, then every variable as name=value — the declared
+// ones in sorted order, then the runtime-grown ones. Unlike Encode it
+// names everything, so it is stable across encoding changes.
+func (m *Machine) String() string {
+	var b strings.Builder
+	b.WriteString(string(m.state))
+	for i, v := range m.vars {
+		fmt.Fprintf(&b, " %s=%d", m.lay.names[i], v)
+	}
+	for _, ov := range m.over {
+		fmt.Fprintf(&b, " %s=%d", ov.name, ov.val)
+	}
+	return b.String()
 }
 
 // wrap returns the machine's reusable wrapper context bound to the

@@ -323,3 +323,20 @@ func TestEvHelpers(t *testing.T) {
 		t.Fatal("event String empty")
 	}
 }
+
+// TestStateOrdinalEscape: every control state encodes distinctly,
+// including states the spec never mentions, which take the escape
+// ordinal and never alias ordinal 0 (the first sorted state).
+func TestStateOrdinalEscape(t *testing.T) {
+	spec := toggleSpec()
+	seen := map[string]State{}
+	for _, st := range append(spec.States(), "", "NOT-IN-SPEC", State(spec.States()[0]+"x")) {
+		m := New(spec)
+		m.SetState(st)
+		enc := string(m.Encode(nil))
+		if prev, dup := seen[enc]; dup {
+			t.Fatalf("states %q and %q encode identically", prev, st)
+		}
+		seen[enc] = st
+	}
+}

@@ -63,13 +63,21 @@ func SymString(name string) string {
 }
 
 // layout is the flat variable layout of one Spec: declared names in
-// sorted order, each resolved to a dense slot index. It is immutable
-// and shared by every Machine of the spec.
+// sorted order, each resolved to a dense slot index. It is shared by
+// every Machine of the spec and immutable apart from ord, which is
+// filled in once.
 type layout struct {
 	names []string         // sorted declared variable names
 	syms  []Sym            // interned symbols, parallel to names
 	slot  map[string]int32 // name -> slot index
 	init  []int32          // initial values, slot order
+	spec  *Spec
+	// ord maps each control state of the spec to its position in the
+	// sorted States() list — the u16 the encoding writes in place of
+	// the state name (see Machine.encode). It is built on first encode,
+	// so constructing machines does not pay for it.
+	ordOnce sync.Once
+	ord     map[State]uint16
 }
 
 // layouts caches one layout per *Spec. Specs are built once at package
@@ -89,6 +97,7 @@ func layoutFor(s *Spec) *layout {
 
 func buildLayout(s *Spec) *layout {
 	l := &layout{
+		spec:  s,
 		names: make([]string, 0, len(s.Vars)),
 		slot:  make(map[string]int32, len(s.Vars)),
 	}
@@ -104,6 +113,27 @@ func buildLayout(s *Spec) *layout {
 		l.init[i] = int32(s.Vars[k])
 	}
 	return l
+}
+
+// stateEscape is the ordinal that announces a control state outside
+// the spec's state list; the state's name follows it.
+const stateEscape = 0xFFFF
+
+// ordinal returns the state's position in the spec's sorted state list,
+// or false for a state the spec never mentions.
+func (l *layout) ordinal(st State) (uint16, bool) {
+	l.ordOnce.Do(func() {
+		states := l.spec.States()
+		l.ord = make(map[State]uint16, len(states))
+		for i, st := range states {
+			if i >= int(stateEscape) {
+				break // the rest encode by name
+			}
+			l.ord[st] = uint16(i)
+		}
+	})
+	o, ok := l.ord[st]
+	return o, ok
 }
 
 // Slot returns the dense index of a declared variable of the spec, for

@@ -2,6 +2,8 @@ package fuzz
 
 import (
 	"fmt"
+	"hash/fnv"
+	"io"
 
 	"cnetverifier/internal/check"
 	"cnetverifier/internal/model"
@@ -50,10 +52,10 @@ type ShrinkResult struct {
 	// replay (1-minimality, the ddmin guarantee).
 	Path []model.Step `json:"-"`
 	// Digest is the stability digest: an FNV-64a hash over the rendered
-	// minimal steps and the canonical encoding of the state the strict
-	// replay reaches. Two shrinks of equivalent violations landing on
-	// the same digest reached byte-identical final states via the same
-	// action sequence.
+	// minimal steps and the rendering (model.World.String) of the state
+	// the strict replay reaches. Two shrinks of equivalent violations
+	// landing on the same digest reached identical final states via the
+	// same action sequence.
 	Digest string `json:"digest"`
 }
 
@@ -275,26 +277,21 @@ func VerifyMinimal(w0 *model.World, props []check.Property, property, desc strin
 	return nil
 }
 
-// TraceDigest hashes the steps and the final state encoding — the
+// TraceDigest hashes the steps and the rendered final state — the
 // stability digest stored with every minimized trace. The golden corpus
 // test recomputes it from a strict replay to detect silent drift in
 // either the steps or the state they reach. Steps are hashed in their
 // codec rendering (encodeStep), not Step.String(): the digest must be
 // identical whether computed on freshly applied steps (Label filled by
 // Apply) or on steps decoded back from a corpus file (Label absent).
+// The state is hashed in its readable rendering, not its checker
+// encoding, so the digest survives changes to the encoding.
 func TraceDigest(path []model.Step, end *model.World) string {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	write := func(b []byte) {
-		for _, c := range b {
-			h ^= uint64(c)
-			h *= prime64
-		}
-	}
+	h := fnv.New64a()
 	for _, s := range path {
-		write([]byte(encodeStep(s)))
-		write([]byte{'\n'})
+		io.WriteString(h, encodeStep(s))
+		io.WriteString(h, "\n")
 	}
-	write(end.Encode(nil))
-	return fmt.Sprintf("%016x", h)
+	io.WriteString(h, end.String())
+	return fmt.Sprintf("%016x", h.Sum64())
 }

@@ -76,27 +76,11 @@ func TestQuickSaveRestoreRoundTrip(t *testing.T) {
 		// The same snapshot must back out a second divergence too.
 		walk(w, body2)
 		w.Restore(&u)
-		return bytes.Equal(before, w.Encode(nil)) && w.Hash() == hashOf(before)
+		return bytes.Equal(before, w.Encode(nil)) && w.Hash() == sum64(before)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// hashOf recomputes the world hash from an encoding-equal world: two
-// worlds with equal encodings must hash equally, so compare via a fresh
-// replay rather than trusting Hash's internal memo.
-func hashOf(enc []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range enc {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h
 }
 
 // Property: applying a step in place (with ApplyUndo) reaches the same

@@ -19,7 +19,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 
 	"cnetverifier/internal/fsm"
 	"cnetverifier/internal/types"
@@ -83,6 +85,36 @@ type glayout struct {
 	// different workers share layout pointers.
 	mu    sync.Mutex
 	grown map[string]*glayout
+
+	// hdr memoizes the globals header of the plain encoding
+	// (nameRegistry.header over names), and canon the layout's
+	// symmetry-canonical views (symmetry.go), one per replica namespace
+	// structure encoded against it. Both are built on first encode; they are
+	// atomics because worlds on different workers share layouts.
+	hdr   atomic.Pointer[[]byte]
+	canon atomic.Pointer[canonLayout]
+}
+
+// noGlobals stands in for the layout of a world that never had a
+// global (hand-assembled test worlds leave glay nil).
+var noGlobals = &glayout{}
+
+// header returns the layout's memoized plain globals header.
+func (g *glayout) header() []byte {
+	if h := g.hdr.Load(); h != nil {
+		return *h
+	}
+	h := digests.header(g.names, 0)
+	g.hdr.Store(&h)
+	return h
+}
+
+// layout returns the world's globals layout, never nil.
+func (w *World) layout() *glayout {
+	if w.glay == nil {
+		return noGlobals
+	}
+	return w.glay
 }
 
 func (g *glayout) with(name string) (*glayout, int) {
@@ -307,6 +339,37 @@ func (w *World) GlobalsMap() map[string]int {
 	return out
 }
 
+// String renders the world's logical state, one line per component:
+// each process's control state and variables, each inbox with every
+// queued message's fields, the globals by sorted name, and the armed
+// timers with their clock-relative windows. It names everything the
+// encoding identifies by position, ordinal or digest, so goldens and
+// stability digests built on it survive changes to the encoding.
+func (w *World) String() string {
+	var b strings.Builder
+	for _, p := range w.Procs {
+		fmt.Fprintf(&b, "proc %s: %s\n", p.Name, p.M)
+	}
+	for _, c := range w.Chans {
+		fmt.Fprintf(&b, "queue %s:", c.Name)
+		for _, m := range c.Queue {
+			fmt.Fprintf(&b, " %s{cause=%s seq=%d sys=%s dom=%s proto=%s from=%s}",
+				m.Kind, m.Cause, m.Seq, m.System, m.Domain, m.Proto, m.From)
+		}
+		b.WriteByte('\n')
+	}
+	lay := w.layout()
+	for i, name := range lay.names {
+		fmt.Fprintf(&b, "global %s=%d\n", name, w.gvals[i])
+	}
+	for i := range w.timers {
+		d := &w.timing.defs[w.timers[i].def]
+		lo, hi := w.relWindow(&w.timers[i])
+		fmt.Fprintf(&b, "timer %s/%s: [%d,%d]\n", d.Proc, d.Name, lo, hi)
+	}
+	return b.String()
+}
+
 // Clone deep-copies the world. Specs, name-index tables and the global
 // layout are shared (immutable or copy-on-write).
 func (w *World) Clone() *World {
@@ -360,70 +423,53 @@ func (w *World) CloneInto(dst *World) {
 // Encode appends a canonical binary encoding of the full global state.
 // The layout is fixed and positional: each machine's memoized encoding
 // in process order, each queue as a u16 length plus fixed-width
-// message records, then the globals as a u16 count plus sorted
-// name/value pairs. No map iteration, no sorting, no string keys on
-// the hot path.
+// message records, then the globals as their layout's memoized header
+// (count plus name-set digest, see nameRegistry) followed by the values
+// in sorted-name order. No map iteration, no sorting, no string keys
+// on the hot path.
 func (w *World) Encode(buf []byte) []byte {
-	var tmp [4]byte
 	for _, p := range w.Procs {
 		buf = p.M.Encode(buf)
 	}
 	for _, c := range w.Chans {
-		binary.LittleEndian.PutUint16(tmp[:2], uint16(len(c.Queue)))
-		buf = append(buf, tmp[:2]...)
-		for _, m := range c.Queue {
-			binary.LittleEndian.PutUint16(tmp[:2], uint16(m.Kind))
-			buf = append(buf, tmp[:2]...)
-			binary.LittleEndian.PutUint16(tmp[:2], uint16(m.Cause))
-			buf = append(buf, tmp[:2]...)
-			binary.LittleEndian.PutUint32(tmp[:4], m.Seq)
-			buf = append(buf, tmp[:4]...)
-			buf = append(buf, byte(m.System), byte(m.Domain), byte(m.Proto))
-			buf = append(buf, m.From...)
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(c.Queue)))
+		for i := range c.Queue {
+			buf = appendMsg(buf, &c.Queue[i])
+			buf = append(buf, c.Queue[i].From...)
 			buf = append(buf, 0)
 		}
 	}
-	nglob := 0
-	if w.glay != nil {
-		nglob = len(w.glay.names)
-	}
-	binary.LittleEndian.PutUint16(tmp[:2], uint16(nglob))
-	buf = append(buf, tmp[:2]...)
-	for i := 0; i < nglob; i++ {
-		buf = append(buf, w.glay.names[i]...)
-		buf = append(buf, 0)
-		binary.LittleEndian.PutUint32(tmp[:4], uint32(w.gvals[i]))
-		buf = append(buf, tmp[:4]...)
-	}
-	// Timed worlds append the zone-abstracted armed-timer section;
-	// untimed encodings are byte-for-byte what they always were.
+	buf = append(buf, w.layout().header()...)
+	buf = appendInt32s(buf, w.gvals)
+	// Timed worlds append the zone-abstracted armed-timer section.
 	if w.timing != nil {
 		buf = w.encodeTimers(buf)
 	}
 	return buf
 }
 
-// Hash returns an FNV-64a digest of the canonical encoding.
+// appendMsg appends the fixed-width fields of a queued message; the
+// callers append its sender.
+func appendMsg(buf []byte, m *types.Message) []byte {
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(m.Kind))
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(m.Cause))
+	buf = binary.LittleEndian.AppendUint32(buf, m.Seq)
+	return append(buf, byte(m.System), byte(m.Domain), byte(m.Proto))
+}
+
+// Hash returns the sum64 fingerprint of the canonical encoding.
 func (w *World) Hash() uint64 {
 	h, _ := w.AppendHash(nil)
 	return h
 }
 
-// AppendHash encodes the world into buf[:0] and returns the FNV-64a
-// digest together with the (re)used buffer. Callers on hot paths keep
-// the returned buffer as scratch for the next call, eliminating the
-// per-state encoding allocation.
+// AppendHash encodes the world into buf[:0] and returns its sum64
+// fingerprint together with the (re)used buffer. Callers on hot paths
+// keep the returned buffer as scratch for the next call, eliminating
+// the per-state encoding allocation.
 func (w *World) AppendHash(buf []byte) (uint64, []byte) {
 	buf = w.Encode(buf[:0])
-	// Inline FNV-64a over buf (hash/fnv forces a heap-allocated state
-	// through the hash.Hash64 interface).
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for _, b := range buf {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h, buf
+	return sum64(buf), buf
 }
 
 // ctx implements fsm.Ctx for a process executing inside the world.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -58,6 +59,11 @@ type symResolution struct {
 	groups [][]symReplicaRes
 	// rest lists the processes belonging to no replica, in world order.
 	rest []int
+	// spansKey lists the replica namespace prefixes group by group,
+	// each length-prefixed: everything a canonical view of the globals
+	// depends on, so resolutions with equal keys (a world's POR
+	// projections, repeated runs) share one view per layout.
+	spansKey string
 }
 
 type symReplicaRes struct {
@@ -70,11 +76,91 @@ type symReplicaRes struct {
 type symScratch struct {
 	subs  [][]byte
 	order []int
-	spans []gspan
 }
 
 // gspan is a half-open range of globals-layout indices.
 type gspan struct{ lo, hi int }
+
+// canonLayout is the symmetry-canonical view of one globals layout
+// under one replica namespace structure (symResolution.spansKey): each
+// replica's namespaced span with the header of its suffix set, and the
+// complement's ranges with their header. It is immutable once built.
+// Layouts keep a lock-free list of views, one per structure that
+// encoded against them (POR clusters sharing a layout keep different
+// replicas).
+type canonLayout struct {
+	key  string
+	next *canonLayout
+	// spans[g][r] is replica r of group g.
+	spans [][]canonSpan
+	rest  []gspan
+	// restHdr is the header of the complement's names.
+	restHdr []byte
+}
+
+// canonSpan is one replica's globals: the layout range carrying its
+// "g.<NS>." prefix and the header of the range's suffix set, which is
+// equal for corresponding replicas.
+type canonSpan struct {
+	gspan
+	hdr []byte
+}
+
+// canonView returns the memoized canonical view of the world's globals
+// layout under its symmetry resolution, building it on first use.
+func (w *World) canonView() *canonLayout {
+	lay := w.layout()
+	head := lay.canon.Load()
+	for v := head; v != nil; v = v.next {
+		if v.key == w.symRes.spansKey {
+			return v
+		}
+	}
+	v := buildCanonLayout(lay, w.symRes)
+	for {
+		v.next = head
+		if lay.canon.CompareAndSwap(head, v) {
+			return v
+		}
+		head = lay.canon.Load()
+	}
+}
+
+// buildCanonLayout resolves every replica's namespace to its span of
+// the sorted layout (a binary search plus a scan of the span) and the
+// complement to its ranges.
+func buildCanonLayout(lay *glayout, res *symResolution) *canonLayout {
+	v := &canonLayout{key: res.spansKey, spans: make([][]canonSpan, len(res.groups))}
+	inSpan := make([]bool, len(lay.names))
+	for gi, grp := range res.groups {
+		for _, rep := range grp {
+			lo := sort.SearchStrings(lay.names, rep.prefix)
+			hi := lo
+			for hi < len(lay.names) && strings.HasPrefix(lay.names[hi], rep.prefix) {
+				inSpan[hi] = true
+				hi++
+			}
+			v.spans[gi] = append(v.spans[gi], canonSpan{
+				gspan: gspan{lo, hi},
+				hdr:   digests.header(lay.names[lo:hi], len(rep.prefix)),
+			})
+		}
+	}
+	var restNames []string
+	for i, name := range lay.names {
+		if inSpan[i] {
+			continue
+		}
+		restNames = append(restNames, name)
+		if n := len(v.rest); n > 0 && v.rest[n-1].hi == i {
+			v.rest[n-1].hi++
+		} else {
+			v.rest = append(v.rest, gspan{i, i + 1})
+		}
+	}
+	v.restHdr = digests.header(restNames, 0)
+	return v
+}
 
 // SetSymmetry attaches a replica-symmetry descriptor to the world and
 // resolves it against the current process table. Clones share the
@@ -130,6 +216,10 @@ func (w *World) SetSymmetry(sym *Symmetry) error {
 			grp = append(grp, rr)
 		}
 		res.groups = append(res.groups, grp)
+		for _, rr := range grp {
+			res.spansKey += strconv.Itoa(len(rr.prefix)) + ":" + rr.prefix
+		}
+		res.spansKey += "|"
 	}
 	for i := range w.Procs {
 		if !inReplica[i] {
@@ -178,23 +268,6 @@ func (w *World) filterSymmetry(keep map[string]bool) *Symmetry {
 	return &out
 }
 
-// globalsSpan returns the half-open index range of the sorted globals
-// layout carrying the given name prefix. Namespaced globals grow
-// lazily (first write), so the span is recomputed per call against the
-// current layout — a binary search plus a linear scan of the span.
-func (w *World) globalsSpan(prefix string) (int, int) {
-	if w.glay == nil {
-		return 0, 0
-	}
-	names := w.glay.names
-	lo := sort.SearchStrings(names, prefix)
-	hi := lo
-	for hi < len(names) && strings.HasPrefix(names[hi], prefix) {
-		hi++
-	}
-	return lo, hi
-}
-
 // encodeQueueLocal appends the queue encoding of one channel with
 // replica-relative sender names: a message sent from inside the replica
 // encodes as its sender's role index (tag 1), so the bytes are
@@ -202,17 +275,10 @@ func (w *World) globalsSpan(prefix string) (int, int) {
 // infrastructure, the environment) encodes by name (tag 0). The other
 // message fields match Encode's fixed-width record.
 func (w *World) encodeQueueLocal(buf []byte, c *Channel, local []int) []byte {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint16(tmp[:2], uint16(len(c.Queue)))
-	buf = append(buf, tmp[:2]...)
-	for _, m := range c.Queue {
-		binary.LittleEndian.PutUint16(tmp[:2], uint16(m.Kind))
-		buf = append(buf, tmp[:2]...)
-		binary.LittleEndian.PutUint16(tmp[:2], uint16(m.Cause))
-		buf = append(buf, tmp[:2]...)
-		binary.LittleEndian.PutUint32(tmp[:4], m.Seq)
-		buf = append(buf, tmp[:4]...)
-		buf = append(buf, byte(m.System), byte(m.Domain), byte(m.Proto))
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(c.Queue)))
+	for i := range c.Queue {
+		m := &c.Queue[i]
+		buf = appendMsg(buf, m)
 		role := -1
 		for j, pi := range local {
 			if w.Procs[pi].Name == m.From {
@@ -234,14 +300,16 @@ func (w *World) encodeQueueLocal(buf []byte, c *Channel, local []int) []byte {
 // EncodeCanonical appends the symmetry-canonical encoding of the world:
 // for each group, the replica sub-encodings (machines in role order,
 // queues with replica-relative senders, the replica's namespaced
-// globals span) are length-prefixed and sorted lexicographically, so
-// every permutation of a group's replicas encodes identically; the
-// non-replica machines, queues and globals follow positionally exactly
+// globals span as its suffix-set header plus values, its armed timers)
+// are length-prefixed and sorted lexicographically, so every
+// permutation of a group's replicas encodes identically; the
+// non-replica machines, queues, globals and timers follow positionally
 // as in Encode. Without a symmetry descriptor it IS Encode.
 //
-// The hot-path contract matches Encode: memoized machine encodings, no
-// map iteration, no string building, and all working storage lives in
-// the world's reusable scratch — steady state allocates nothing.
+// The hot-path contract matches Encode: memoized machine encodings and
+// globals spans (canonView), no map iteration, no string building, and
+// all working storage lives in the world's reusable scratch — steady
+// state allocates nothing.
 func (w *World) EncodeCanonical(buf []byte) []byte {
 	if w.sym == nil || w.symRes == nil {
 		return w.Encode(buf)
@@ -251,9 +319,8 @@ func (w *World) EncodeCanonical(buf []byte) []byte {
 		sc = &symScratch{}
 		w.symScratch = sc
 	}
-	var tmp [4]byte
-	sc.spans = sc.spans[:0]
-	for _, grp := range w.symRes.groups {
+	view := w.canonView()
+	for gi, grp := range w.symRes.groups {
 		for len(sc.subs) < len(grp) {
 			sc.subs = append(sc.subs, nil)
 		}
@@ -266,16 +333,9 @@ func (w *World) EncodeCanonical(buf []byte) []byte {
 			for _, pi := range rep.procs {
 				sub = w.encodeQueueLocal(sub, w.Chans[pi], rep.procs)
 			}
-			lo, hi := w.globalsSpan(rep.prefix)
-			sc.spans = append(sc.spans, gspan{lo, hi})
-			binary.LittleEndian.PutUint16(tmp[:2], uint16(hi-lo))
-			sub = append(sub, tmp[:2]...)
-			for i := lo; i < hi; i++ {
-				sub = append(sub, w.glay.names[i][len(rep.prefix):]...)
-				sub = append(sub, 0)
-				binary.LittleEndian.PutUint32(tmp[:4], uint32(w.gvals[i]))
-				sub = append(sub, tmp[:4]...)
-			}
+			span := &view.spans[gi][ri]
+			sub = append(sub, span.hdr...)
+			sub = appendInt32s(sub, w.gvals[span.lo:span.hi])
 			// The replica's armed timers, in definition order, keyed by
 			// the replica-agnostic timer name plus the zone-relative
 			// window — identical bytes across corresponding replicas
@@ -312,8 +372,7 @@ func (w *World) EncodeCanonical(buf []byte) []byte {
 		}
 		sc.order = order
 		for _, ri := range order {
-			binary.LittleEndian.PutUint32(tmp[:4], uint32(len(sc.subs[ri])))
-			buf = append(buf, tmp[:4]...)
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(sc.subs[ri])))
 			buf = append(buf, sc.subs[ri]...)
 		}
 	}
@@ -324,35 +383,9 @@ func (w *World) EncodeCanonical(buf []byte) []byte {
 		buf = w.encodeQueueLocal(buf, w.Chans[pi], nil)
 	}
 	// Non-replica globals: the complement of the namespaced spans.
-	nglob := 0
-	if w.glay != nil {
-		nglob = len(w.glay.names)
-	}
-	spans := sc.spans
-	for i := 1; i < len(spans); i++ {
-		for j := i; j > 0 && spans[j-1].lo > spans[j].lo; j-- {
-			spans[j-1], spans[j] = spans[j], spans[j-1]
-		}
-	}
-	rest := nglob
-	for _, s := range spans {
-		rest -= s.hi - s.lo
-	}
-	binary.LittleEndian.PutUint16(tmp[:2], uint16(rest))
-	buf = append(buf, tmp[:2]...)
-	si := 0
-	for i := 0; i < nglob; i++ {
-		for si < len(spans) && i >= spans[si].hi {
-			si++
-		}
-		if si < len(spans) && i >= spans[si].lo {
-			i = spans[si].hi - 1
-			continue
-		}
-		buf = append(buf, w.glay.names[i]...)
-		buf = append(buf, 0)
-		binary.LittleEndian.PutUint32(tmp[:4], uint32(w.gvals[i]))
-		buf = append(buf, tmp[:4]...)
+	buf = append(buf, view.restHdr...)
+	for _, r := range view.rest {
+		buf = appendInt32s(buf, w.gvals[r.lo:r.hi])
 	}
 	// Armed timers of non-replica processes follow positionally, as in
 	// Encode (replica-owned timers were folded into the sub-encodings).
@@ -369,15 +402,14 @@ func (w *World) EncodeCanonical(buf []byte) []byte {
 			if !inRest {
 				continue
 			}
-			binary.LittleEndian.PutUint16(tmp[:2], uint16(w.timers[ti].def))
-			buf = append(buf, tmp[:2]...)
+			buf = binary.LittleEndian.AppendUint16(buf, uint16(w.timers[ti].def))
 			buf = w.encodeTimerRel(buf, &w.timers[ti])
 		}
 	}
 	return buf
 }
 
-// CanonicalHash returns the FNV-64a digest of the symmetry-canonical
+// CanonicalHash returns the sum64 fingerprint of the symmetry-canonical
 // encoding (EncodeCanonical), equal for permutation-equivalent worlds.
 func (w *World) CanonicalHash() uint64 {
 	h, _ := w.AppendCanonicalHash(nil)
@@ -385,15 +417,9 @@ func (w *World) CanonicalHash() uint64 {
 }
 
 // AppendCanonicalHash is AppendHash over the symmetry-canonical
-// encoding: it encodes into buf[:0] and returns the FNV-64a digest plus
-// the reused buffer.
+// encoding: it encodes into buf[:0] and returns the sum64 fingerprint
+// plus the reused buffer.
 func (w *World) AppendCanonicalHash(buf []byte) (uint64, []byte) {
 	buf = w.EncodeCanonical(buf[:0])
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for _, b := range buf {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h, buf
+	return sum64(buf), buf
 }
