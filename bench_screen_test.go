@@ -116,7 +116,7 @@ func BenchmarkScreenMultiUEShared(b *testing.B) {
 }
 
 // BenchmarkScreenWorkers measures the widest scoped world (S6) under
-// the work-stealing frontier engine as the worker count grows.
+// the level-synchronous search as the worker count grows.
 func BenchmarkScreenWorkers(b *testing.B) {
 	s := core.S6World(false)
 	for _, workers := range []int{1, 4, 8} {

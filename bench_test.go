@@ -336,8 +336,8 @@ func BenchmarkAblation_ShimRTO(b *testing.B) {
 	}
 }
 
-// BenchmarkChecker_ParallelWorkers measures the work-stealing frontier
-// engine on the S6 world (the largest scoped state space) as the worker
+// BenchmarkChecker_ParallelWorkers measures the level-synchronous
+// search on the S6 world (the largest scoped state space) as the worker
 // count grows — the headline scaling number for the parallel engine.
 // Workers=1 is the sequential baseline.
 func BenchmarkChecker_ParallelWorkers(b *testing.B) {

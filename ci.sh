@@ -89,6 +89,21 @@ done
 rm -f /tmp/cnetverify.$$ /tmp/viol_ref.$$ /tmp/viol_timed.$$
 echo ok
 
+echo "== search-determinism gate (bfs -verbose output, counterexamples included, byte-identical at 1/2/4/8 workers) =="
+go build -o /tmp/cnetverify.$$ ./cmd/cnetverify
+for args in "-world s1" "-world s3" "-world s6" "-world s1 -timing" "-world multiue -por" \
+    "-world multiue-shared -sym" "-world multiue-shared -sym -compact"; do
+    # shellcheck disable=SC2086 # $args is intentionally word-split
+    /tmp/cnetverify.$$ -strategy bfs -verbose $args >/tmp/det_w1.$$
+    for w in 2 4 8; do
+        # shellcheck disable=SC2086
+        /tmp/cnetverify.$$ -strategy bfs -verbose -workers "$w" $args >/tmp/det_wn.$$
+        cmp /tmp/det_w1.$$ /tmp/det_wn.$$
+    done
+done
+rm -f /tmp/cnetverify.$$ /tmp/det_w1.$$ /tmp/det_wn.$$
+echo ok
+
 echo "== hash-compaction gate (shared-core 3-UE world: -compact keeps the violation set at screening scale) =="
 go run ./cmd/cnetverify -world multiue-shared -sym -violations >/tmp/viol_exact.$$
 go run ./cmd/cnetverify -world multiue-shared -sym -compact -violations >/tmp/viol_compact.$$
@@ -141,6 +156,9 @@ go test -race ./internal/fuzz
 
 echo "== fuzz smoke (trace line codec, 30s) =="
 go test ./internal/trace -fuzz FuzzRecordLine -fuzztime 30s >/dev/null
+
+echo "== fuzz smoke (state decoding, 30s) =="
+go test ./internal/model -run '^$' -fuzz FuzzDecodeInto -fuzztime 30s >/dev/null
 
 echo "== cnetfuzz smoke (small budget, must find new coverage) =="
 go run ./cmd/cnetfuzz -world s1 -budget 2000 -workers 8 -min-new 1 >/dev/null

@@ -61,46 +61,3 @@ func TestViolationPathIsolation(t *testing.T) {
 		t.Errorf("step 1 message corrupted by frontier reuse: %v", got[1].Msg.Kind)
 	}
 }
-
-// TestStepArenaSiblingsIndependent asserts two siblings extended from
-// one parent node are independent chains: each materializes its own
-// path, and mutating one materialization never shows through the other
-// or through the shared parent node.
-func TestStepArenaSiblingsIndependent(t *testing.T) {
-	var arena stepArena
-	parent := arena.append(nil, model.Step{Proc: "C", Label: "root", Notes: []string{"n"}})
-	a := arena.append(parent, model.Step{Proc: "C", Label: "left"})
-	b := arena.append(parent, model.Step{Proc: "C", Label: "right"})
-	if pathLen(a) != 2 || pathLen(b) != 2 {
-		t.Fatalf("path lengths: a=%d b=%d, want 2", pathLen(a), pathLen(b))
-	}
-	pa, pb := materializePath(a), materializePath(b)
-	if pa[1].Label != "left" || pb[1].Label != "right" {
-		t.Fatalf("sibling steps collided: a=%q b=%q", pa[1].Label, pb[1].Label)
-	}
-	pa[0].Label = "rewritten"
-	pa[0].Notes[0] = "scribbled"
-	if pb[0].Label != "root" || pb[0].Notes[0] != "n" {
-		t.Error("materialized siblings shared steps or notes")
-	}
-	if parent.step.Label != "root" || parent.step.Notes[0] != "n" {
-		t.Error("materialized path aliased the arena node")
-	}
-}
-
-// TestStepArenaChunking asserts chains longer than one arena chunk stay
-// intact: nodes allocated across chunk boundaries keep valid prev links.
-func TestStepArenaChunking(t *testing.T) {
-	var arena stepArena
-	var tail *pathNode
-	const n = stepArenaChunk*2 + 7
-	for i := 0; i < n; i++ {
-		tail = arena.append(tail, model.Step{Label: "s"})
-	}
-	if got := pathLen(tail); got != n {
-		t.Fatalf("pathLen = %d, want %d", got, n)
-	}
-	if got := len(materializePath(tail)); got != n {
-		t.Fatalf("materialized %d steps, want %d", got, n)
-	}
-}

@@ -16,6 +16,11 @@
 //   - BFS: breadth-first search, producing shortest counterexamples.
 //   - RandomWalk: seeded random schedule sampling, the paper's approach
 //     for scenario spaces too large to enumerate.
+//
+// Two engines run the searches: sequential DFS explores in place with
+// apply/undo (check.go), and a level-synchronous breadth-first engine
+// (layer.go) runs every BFS search and every search with Workers > 1,
+// giving the sequential BFS result at any worker count.
 package check
 
 import (
@@ -83,7 +88,9 @@ type Options struct {
 	// MaxStates bounds the number of distinct states visited
 	// (default 1 << 20).
 	MaxStates int
-	// StopAtFirst stops the entire run at the first violation.
+	// StopAtFirst stops the entire run at the first violation. The
+	// level-synchronous search then runs on one worker, so that the
+	// first violation is the one sequential BFS meets.
 	StopAtFirst bool
 	// SkipLint disables the pre-screening structural lint
 	// (internal/lint). By default Run refuses to explore a world whose
@@ -120,12 +127,12 @@ type Options struct {
 	Walks int
 	Seed  int64
 	// Workers sets the number of exploration goroutines. 0 or 1 runs
-	// the sequential engine; >1 runs the work-stealing frontier search
-	// (DFS/BFS) or splits the walks (RandomWalk). Parallel runs report
-	// the same state count, violation set and transition coverage as
-	// sequential runs of the same world (see the determinism contract
-	// in DESIGN.md); counterexample paths are re-verified with Replay
-	// before being reported.
+	// the sequential engine of the strategy; >1 runs DFS and BFS alike
+	// as the level-synchronous breadth-first search, whose Result equals
+	// the sequential BFS Result field for field at every worker count
+	// (Visited diagnostics aside; runs cut short by MaxStates, Budget or
+	// Cancel excepted), or splits the walks (RandomWalk). See the
+	// determinism contract in DESIGN.md.
 	Workers int
 	// POR enables independence-powered partial-order reduction for the
 	// DFS/BFS strategies (RandomWalk ignores it: sampled schedules are
@@ -237,19 +244,24 @@ type Result struct {
 	States int
 	// Transitions counts steps applied.
 	Transitions int
-	// MaxDepth is the deepest path length reached.
+	// MaxDepth is the length of the longest shortest path to a visited
+	// state: for DFS and BFS, the deepest minimal depth in the final
+	// visited table, so it does not depend on the search order. For
+	// RandomWalk it is the longest walk.
 	MaxDepth int
-	// Truncated reports whether a bound (depth/state cap) cut the
-	// exploration short.
+	// Truncated reports whether the exploration may have missed states:
+	// for DFS and BFS, some visited state sits at the depth bound (its
+	// successors were not explored), or MaxStates, the Budget or Cancel
+	// cut the run short.
 	Truncated bool
 	// Violations holds one entry per distinct (property, description)
-	// pair, each with a replayable counterexample. Sequential runs list
-	// them in discovery order; parallel runs (Workers > 1) in canonical
-	// order (property, description, path length, path). The set of
-	// entries is deterministic for a given world+options; the
-	// counterexample chosen for an entry may differ between parallel
-	// runs (whichever worker reached the violating state first), but
-	// is always re-verified with Replay before being reported.
+	// pair, each with a replayable counterexample, in discovery order.
+	// BFS, and any DFS or BFS run with Workers > 1, lists them as
+	// sequential breadth-first search meets them, with its shortest
+	// counterexamples, at every worker count; each path is rebuilt by
+	// replay and its violation re-checked on the replayed state. POR
+	// and symmetry runs, and parallel random walks, list them in
+	// canonical order (property, description, path length, path).
 	Violations []Violation
 	// Covered counts, per "proc/transition-label", how often each
 	// protocol transition fired during exploration — the model-side
@@ -259,8 +271,8 @@ type Result struct {
 	// Misrouted and Dropped count messages lost while applying steps:
 	// sends to a process absent from the (scoped) world and sends
 	// discarded at a full inbox (model.Stats). Like Transitions they
-	// tally work, not state-space structure, so parallel runs may count
-	// a transition's losses once per exploration of it.
+	// tally work, not state-space structure: sequential DFS counts a
+	// transition's losses once per exploration of it.
 	Misrouted int
 	Dropped   int
 	// Omission is the hash-compaction soundness bound (Options.
@@ -295,12 +307,6 @@ func (r *Result) ViolationsOf(property string) []Violation {
 		}
 	}
 	return out
-}
-
-type node struct {
-	w     *model.World
-	path  *pathNode
-	depth int
 }
 
 // violKey identifies a distinct violation. A comparable struct key —
@@ -350,26 +356,6 @@ func Run(w *model.World, props []Property, sc Scenario, opt Options) (*Result, e
 	return res, nil
 }
 
-// parallelRootWidthMin is the spin-up threshold of the parallel
-// frontier search: a root frontier below it (a single enabled step)
-// leaves the workers nothing to share until the search has fanned out,
-// and BENCH_screen shows the parallel engine is a wash or worse on
-// such worlds (s1, s2, s4ps). dispatch then degrades to the sequential
-// engine — result-identical by the determinism contract, minus the
-// spin-up cost.
-const parallelRootWidthMin = 2
-
-// degradeParallel reports whether a parallel search request should run
-// on the sequential engine instead: the root frontier is too narrow to
-// amortize worker spin-up. Only meaningful for DFS/BFS (walk splitting
-// parallelizes over walks, not over the frontier).
-func degradeParallel(w *model.World, sc Scenario, opt Options) bool {
-	if opt.Workers <= 1 || (opt.Strategy != DFS && opt.Strategy != BFS) {
-		return false
-	}
-	return len(w.Steps(sc.Events(w))) < parallelRootWidthMin
-}
-
 // dispatch routes an already-defaulted, already-prescreened run to its
 // exploration engine.
 func dispatch(w *model.World, props []Property, sc Scenario, opt Options) (*Result, error) {
@@ -377,13 +363,10 @@ func dispatch(w *model.World, props []Property, sc Scenario, opt Options) (*Resu
 	var err error
 	switch opt.Strategy {
 	case DFS, BFS:
-		switch {
-		case opt.Workers > 1 && !degradeParallel(w, sc, opt):
-			res, err = runParallelSearch(w, props, sc, opt)
-		case opt.Strategy == DFS:
+		if opt.Strategy == DFS && opt.Workers <= 1 {
 			res, err = runDFS(w, props, sc, opt)
-		default:
-			res, err = runSearch(w, props, sc, opt)
+		} else {
+			res, err = runLayered(w, props, sc, opt)
 		}
 	case RandomWalk:
 		if opt.Workers > 1 {
@@ -484,11 +467,7 @@ func runDFS(w0 *model.World, props []Property, sc Scenario, opt Options) (*Resul
 			stop = true
 			return nil
 		}
-		if depth > res.MaxDepth {
-			res.MaxDepth = depth
-		}
 		if depth >= opt.MaxDepth {
-			res.Truncated = true
 			return nil
 		}
 		f := frameAt(depth)
@@ -548,91 +527,23 @@ func runDFS(w0 *model.World, props []Property, sc Scenario, opt Options) (*Resul
 		return nil, err
 	}
 	cov.into(res.Covered)
-	finishVisited(res, visited)
-	return res, nil
-}
-
-func runSearch(w0 *model.World, props []Property, sc Scenario, opt Options) (*Result, error) {
-	res := &Result{Covered: make(map[string]int)}
-	visited := newVisitedSet(opt)
-	seenViol := make(map[violKey]struct{})
-	var buf []byte
-	var arena stepArena
-	var steps []model.Step
-	var undo model.Undo
-
-	root := &node{w: w0.Clone()}
-	var err error
-	if _, buf, err = markVisited(visited, root.w, 0, buf); err != nil {
-		return nil, err
-	}
-
-	// frontier is used as a LIFO stack for DFS and FIFO queue for BFS.
-	frontier := []*node{root}
-	for len(frontier) > 0 {
-		if opt.Cancel.Cancelled() {
-			res.Truncated = true
-			break
-		}
-		var n *node
-		if opt.Strategy == BFS {
-			n = frontier[0]
-			frontier = frontier[1:]
-		} else {
-			n = frontier[len(frontier)-1]
-			frontier = frontier[:len(frontier)-1]
-		}
-		if n.depth > res.MaxDepth {
-			res.MaxDepth = n.depth
-		}
-		if n.depth >= opt.MaxDepth {
-			res.Truncated = true
-			continue
-		}
-		// Apply/undo on the node's own world; only a transition that
-		// discovers (or shallower-rediscovers) a state clones.
-		steps = n.w.StepsAppend(steps[:0], sc.Events(n.w))
-		n.w.Save(&undo)
-		for _, s := range steps {
-			applied, err := n.w.Apply(s)
-			if err != nil {
-				return nil, fmt.Errorf("check: apply %v: %w", s, err)
-			}
-			res.Transitions++
-			res.Misrouted += applied.Misrouted
-			res.Dropped += applied.Dropped
-			if applied.Label != "" {
-				res.Covered[applied.Proc+"/"+applied.Label]++
-			}
-			path := arena.append(n.path, applied)
-			if violated := checkPropsNode(n.w, applied, path, props, seenViol, res); violated && opt.StopAtFirst {
-				finishVisited(res, visited)
-				return res, nil
-			}
-			var mark markResult
-			if mark, buf, err = markVisited(visited, n.w, n.depth+1, buf); err != nil {
-				return nil, err
-			}
-			switch {
-			case mark.capped:
-				res.Truncated = true
-			case mark.expand:
-				frontier = append(frontier, &node{w: n.w.Clone(), path: path, depth: n.depth + 1})
-			}
-			n.w.Restore(&undo)
-		}
-	}
-	finishVisited(res, visited)
+	// The depth a state was first reached at depends on the search
+	// order; its minimal depth in the final table does not.
+	res.MaxDepth = finishVisited(res, visited)
+	res.Truncated = res.Truncated || res.MaxDepth >= opt.MaxDepth
 	return res, nil
 }
 
 // finishVisited copies the visited set's final accounting into the
 // result: state count, compaction omission bound and table
-// diagnostics.
-func finishVisited(res *Result, visited *visitedSet) {
+// diagnostics. It returns the deepest minimal depth of any recorded
+// state.
+func finishVisited(res *Result, visited *visitedSet) int {
 	res.States = visited.size()
 	res.Omission = visited.omission()
-	res.Visited = visited.stats()
+	var deepest int
+	res.Visited, deepest = visited.stats()
+	return deepest
 }
 
 // walkSeed derives an independent RNG seed for one walk from the run
@@ -751,31 +662,6 @@ func checkProps(w *model.World, last model.Step, path []model.Step, props []Prop
 			Property: p.Name(),
 			Desc:     desc,
 			Path:     clonePath(path),
-		})
-	}
-	return violated
-}
-
-// checkPropsNode is checkProps for the frontier engines, whose paths
-// are parent-pointer chains: the counterexample materializes only when
-// a violation is actually new.
-func checkPropsNode(w *model.World, last model.Step, tail *pathNode, props []Property, seen map[violKey]struct{}, res *Result) bool {
-	violated := false
-	for _, p := range props {
-		desc := p.Check(w, last)
-		if desc == "" {
-			continue
-		}
-		violated = true
-		key := violKey{p.Name(), desc}
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		res.Violations = append(res.Violations, Violation{
-			Property: p.Name(),
-			Desc:     desc,
-			Path:     materializePath(tail),
 		})
 	}
 	return violated

@@ -2,96 +2,23 @@ package check
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"cnetverifier/internal/model"
 )
 
-// This file implements the parallel exploration engines (Options.
-// Workers > 1): a work-stealing frontier search for DFS/BFS and a
-// walk-splitting driver for RandomWalk.
+// This file implements the walk-splitting engine of RandomWalk with
+// Workers > 1. Parallel DFS and BFS run the level-synchronous search of
+// layer.go.
 //
-// Determinism contract (asserted by TestParallelDeterminism): for the
-// same world and options, parallel and sequential runs agree on the
-// distinct-state count, the violation set (property, description
-// pairs) and the set of covered transitions, because
-//
-//   - the visited set tracks the minimal discovery depth of every
-//     state and re-expands on shallower rediscovery, so the set of
-//     states expanded within MaxDepth is an order-independent fixpoint;
-//   - random walks derive their RNG stream from (Seed, walk index),
-//     not from a shared stream, so the sampled schedules are the same
-//     however walks land on workers.
-//
-// Quantities that tally work rather than describe the state space
-// (Transitions, Covered counts, MaxDepth under truncation) may vary
-// with scheduling. Every reported counterexample is re-verified with
-// Replay before the result is returned.
-
-// localQueueCap bounds each worker's private frontier queue. When an
-// expansion pushes past the cap, the oldest (shallowest) half moves to
-// the shared overflow queue where idle workers pick it up — bounding
-// per-worker memory spikes and spreading work without fine-grained
-// stealing traffic on every push.
-const localQueueCap = 1024
-
-// deque is a mutex-guarded double-ended work queue. The owner pushes
-// and pops at the tail (depth-first order, keeping its cache hot);
-// thieves steal from the head, taking the shallowest — widest — nodes.
-type deque struct {
-	mu    sync.Mutex
-	items []*node
-}
-
-// push appends at the tail and returns the overflow batch (oldest
-// half) when the queue exceeds localQueueCap.
-func (d *deque) push(n *node) []*node {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.items = append(d.items, n)
-	if len(d.items) <= localQueueCap {
-		return nil
-	}
-	half := len(d.items) / 2
-	over := append([]*node(nil), d.items[:half]...)
-	d.items = append(d.items[:0], d.items[half:]...)
-	return over
-}
-
-// pop removes from the tail (owner side).
-func (d *deque) pop() *node {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.items) == 0 {
-		return nil
-	}
-	n := d.items[len(d.items)-1]
-	d.items[len(d.items)-1] = nil
-	d.items = d.items[:len(d.items)-1]
-	return n
-}
-
-// steal removes from the head (thief side).
-func (d *deque) steal() *node {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.items) == 0 {
-		return nil
-	}
-	n := d.items[0]
-	d.items[0] = nil
-	d.items = d.items[1:]
-	return n
-}
-
-// pushAll appends a batch at the tail.
-func (d *deque) pushAll(ns []*node) {
-	d.mu.Lock()
-	d.items = append(d.items, ns...)
-	d.mu.Unlock()
-}
+// Random walks derive their RNG stream from (Seed, walk index), not
+// from a shared stream, so the sampled schedule set — and with it the
+// violation set — is the same however walks land on workers
+// (TestParallelDeterminism asserts it on the full world). Work tallies (Transitions, Covered counts) count every
+// walk once whatever its worker; the violation list is canonically
+// sorted and every counterexample is re-verified with Replay before
+// the result is returned.
 
 // lockedScenario serializes Events calls so stochastic scenarios (the
 // random sampler carries RNG state) are safe under concurrent workers.
@@ -106,266 +33,6 @@ func (l *lockedScenario) Events(w *model.World) []model.EnvEvent {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.base.Events(w)
-}
-
-// engine is the shared state of one parallel frontier search.
-type engine struct {
-	opt     Options
-	sc      Scenario
-	props   []Property
-	visited *visitedSet
-
-	queues   []*deque
-	overflow deque
-	// pending counts nodes queued or being expanded; the search is
-	// complete when it reaches zero.
-	pending atomic.Int64
-	stop    atomic.Bool
-
-	transitions atomic.Int64
-	misrouted   atomic.Int64
-	dropped     atomic.Int64
-	maxDepth    atomic.Int64
-	truncated   atomic.Bool
-
-	// pool recycles worlds between expansions: a dequeued node's world
-	// goes back once expanded, and children draw from the pool and are
-	// refreshed with CloneInto, reusing slabs and queue capacity.
-	pool sync.Pool
-
-	violMu     sync.Mutex
-	seenViol   map[violKey]struct{}
-	violations []Violation
-
-	errMu sync.Mutex
-	err   error
-}
-
-func (e *engine) setErr(err error) {
-	e.errMu.Lock()
-	if e.err == nil {
-		e.err = err
-	}
-	e.errMu.Unlock()
-	e.stop.Store(true)
-}
-
-func (e *engine) getWorld() *model.World {
-	if w, ok := e.pool.Get().(*model.World); ok {
-		return w
-	}
-	return &model.World{}
-}
-
-// putWorld returns a world whose node is done. Safe on any exit path:
-// violation paths are deep-copied and the visited set stores only
-// hashes/encodings, so nothing outlives the node that references it.
-func (e *engine) putWorld(w *model.World) {
-	if w != nil {
-		e.pool.Put(w)
-	}
-}
-
-func (e *engine) noteDepth(d int) {
-	for {
-		cur := e.maxDepth.Load()
-		if int64(d) <= cur || e.maxDepth.CompareAndSwap(cur, int64(d)) {
-			return
-		}
-	}
-}
-
-// enqueue makes a node available to the pool.
-func (e *engine) enqueue(id int, n *node) {
-	e.pending.Add(1)
-	if over := e.queues[id].push(n); over != nil {
-		e.overflow.pushAll(over)
-	}
-}
-
-// next finds work for worker id: own queue first, then the overflow
-// queue, then stealing round-robin from the other workers.
-func (e *engine) next(id int) *node {
-	if n := e.queues[id].pop(); n != nil {
-		return n
-	}
-	if n := e.overflow.steal(); n != nil {
-		return n
-	}
-	for i := 1; i < len(e.queues); i++ {
-		if n := e.queues[(id+i)%len(e.queues)].steal(); n != nil {
-			return n
-		}
-	}
-	return nil
-}
-
-func (e *engine) worker(id int, covered *coverage) {
-	// Worker-private scratch, reused across every node this worker
-	// expands: the hashing buffer, the step slice, the apply/undo
-	// journal, and the path arena. Arena nodes are read cross-worker
-	// after enqueue (the deque mutex is the fence) but only the owner
-	// appends.
-	var (
-		buf   []byte
-		steps []model.Step
-		undo  model.Undo
-		arena stepArena
-	)
-	for {
-		if e.stop.Load() {
-			return
-		}
-		n := e.next(id)
-		if n == nil {
-			if e.pending.Load() == 0 {
-				return
-			}
-			runtime.Gosched()
-			continue
-		}
-		steps = e.expand(id, n, covered, &buf, steps, &undo, &arena)
-		e.pending.Add(-1)
-	}
-}
-
-// expand explores every transition out of n with the sequential
-// engine's apply/undo discipline on the node's own world: apply the
-// step in place, evaluate monitors, mark the visited table, and roll
-// back. Only a transition that actually discovers (or shallower-
-// rediscovers) a state pays for a world clone — in the dense state
-// graphs screening produces, that is a small fraction of transitions.
-func (e *engine) expand(id int, n *node, covered *coverage, buf *[]byte, steps []model.Step, undo *model.Undo, arena *stepArena) []model.Step {
-	defer e.putWorld(n.w)
-	e.noteDepth(n.depth)
-	if e.opt.Cancel.Cancelled() {
-		e.truncated.Store(true)
-		e.stop.Store(true)
-		return steps
-	}
-	if n.depth >= e.opt.MaxDepth {
-		e.truncated.Store(true)
-		return steps
-	}
-	steps = n.w.StepsAppend(steps[:0], e.sc.Events(n.w))
-	n.w.Save(undo)
-	for _, s := range steps {
-		if e.stop.Load() {
-			return steps
-		}
-		applied, err := n.w.Apply(s)
-		if err != nil {
-			e.setErr(fmt.Errorf("check: apply %v: %w", s, err))
-			return steps
-		}
-		e.transitions.Add(1)
-		if applied.Misrouted > 0 {
-			e.misrouted.Add(int64(applied.Misrouted))
-		}
-		if applied.Dropped > 0 {
-			e.dropped.Add(int64(applied.Dropped))
-		}
-		covered.note(applied)
-		path := arena.append(n.path, applied)
-		if e.checkProps(n.w, applied, path) && e.opt.StopAtFirst {
-			e.stop.Store(true)
-			return steps
-		}
-		var mark markResult
-		if mark, *buf, err = markVisited(e.visited, n.w, n.depth+1, *buf); err != nil {
-			e.setErr(err)
-			return steps
-		}
-		switch {
-		case mark.capped:
-			e.truncated.Store(true)
-		case mark.expand:
-			child := e.getWorld()
-			n.w.CloneInto(child)
-			e.enqueue(id, &node{w: child, path: path, depth: n.depth + 1})
-		}
-		n.w.Restore(undo)
-	}
-	return steps
-}
-
-// checkProps evaluates the monitors on a worker-private world and
-// records new violations under the shared lock. The lock is taken only
-// on an actual violation, so the monitor evaluations themselves run
-// fully in parallel.
-func (e *engine) checkProps(w *model.World, last model.Step, tail *pathNode) bool {
-	violated := false
-	for _, p := range e.props {
-		desc := p.Check(w, last)
-		if desc == "" {
-			continue
-		}
-		violated = true
-		key := violKey{p.Name(), desc}
-		e.violMu.Lock()
-		if _, dup := e.seenViol[key]; !dup {
-			e.seenViol[key] = struct{}{}
-			e.violations = append(e.violations, Violation{Property: p.Name(), Desc: desc, Path: materializePath(tail)})
-		}
-		e.violMu.Unlock()
-	}
-	return violated
-}
-
-func runParallelSearch(w0 *model.World, props []Property, sc Scenario, opt Options) (*Result, error) {
-	e := &engine{
-		opt:      opt,
-		sc:       &lockedScenario{base: sc},
-		props:    props,
-		visited:  newVisitedSet(opt),
-		queues:   make([]*deque, opt.Workers),
-		seenViol: make(map[violKey]struct{}),
-	}
-	for i := range e.queues {
-		e.queues[i] = &deque{}
-	}
-
-	root := &node{w: w0.Clone()}
-	if _, _, err := markVisited(e.visited, root.w, 0, nil); err != nil {
-		return nil, err
-	}
-	e.enqueue(0, root)
-
-	coveredPer := make([]*coverage, opt.Workers)
-	var wg sync.WaitGroup
-	for id := 0; id < opt.Workers; id++ {
-		coveredPer[id] = newCoverage(w0)
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			e.worker(id, coveredPer[id])
-		}(id)
-	}
-	wg.Wait()
-	if e.err != nil {
-		return nil, e.err
-	}
-
-	covered := make(map[string]int)
-	for _, c := range coveredPer {
-		c.into(covered)
-	}
-
-	res := &Result{
-		Transitions: int(e.transitions.Load()),
-		MaxDepth:    int(e.maxDepth.Load()),
-		Truncated:   e.truncated.Load(),
-		Violations:  e.violations,
-		Covered:     covered,
-		Misrouted:   int(e.misrouted.Load()),
-		Dropped:     int(e.dropped.Load()),
-	}
-	finishVisited(res, e.visited)
-	sortViolations(res.Violations)
-	if err := reverify(w0, props, res.Violations); err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 func runParallelWalk(w0 *model.World, props []Property, sc Scenario, opt Options) (*Result, error) {

@@ -121,8 +121,15 @@ func (v *visitedSet) size() int { return v.table.size() }
 // mode).
 func (v *visitedSet) omission() float64 { return v.table.omission() }
 
-// stats scans the final table; call after the run has quiesced.
-func (v *visitedSet) stats() *VisitedStats { return v.table.stats() }
+// stats scans the final table; call after the run has quiesced. It
+// also returns the deepest minimal depth of any recorded state.
+func (v *visitedSet) stats() (*VisitedStats, int) { return v.table.stats() }
+
+// keyIsPlain reports whether the table keys states by their plain
+// encodings, so equal keys mean equal plain encodings: not under
+// symmetry (canonical keys) nor in compact mode (fingerprint keys,
+// which distinct states can share).
+func (v *visitedSet) keyIsPlain() bool { return !v.canon && !v.table.compact }
 
 // markResult reports the outcome of recording one state.
 type markResult struct {
@@ -134,6 +141,15 @@ type markResult struct {
 	// capped: the state was new but MaxStates or the shared Budget is
 	// exhausted; it was not recorded and the run is truncated.
 	capped bool
+	// depth is the state's minimal discovery depth before this mark —
+	// the marked depth itself for a new state. The layered search reads
+	// it to tell a rediscovery within the layer being claimed (depth
+	// equal to the mark's) from one of an earlier layer.
+	depth int
+	// id identifies the state for the life of the table: its arena
+	// reference in exact mode, its fingerprint in compact mode (the
+	// fingerprint is the state there). Zero when capped.
+	id uint64
 }
 
 // markVisited records the world at the given depth, using buf as

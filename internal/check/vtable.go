@@ -186,11 +186,11 @@ func (v *visitedTable) omission() float64 {
 }
 
 // mark records the state with hash h and encoding enc (ignored in
-// compact mode) discovered at the given depth. It returns the same
-// markResult triple as the historical sharded-map store: isNew for a
+// compact mode) discovered at the given depth. It returns isNew for a
 // first discovery, expand for first discovery or strictly shallower
 // rediscovery, capped when MaxStates or the shared Budget refused the
-// state.
+// state, and otherwise the state's identity and its minimal depth
+// before this mark (see markResult).
 func (v *visitedTable) mark(h uint64, enc []byte, depth int) (markResult, error) {
 	fp := vtFP(h)
 	if depth > vtDepthMax {
@@ -239,14 +239,16 @@ func (v *visitedTable) markIn(t *vtable, fp uint64, enc []byte, depth int) (m ma
 				v.budget.put()
 				goto reread
 			}
+			id := fp
 			if t.refs != nil {
-				t.refs[idx].Store(v.arena.store(fp, enc))
+				id = v.arena.store(fp, enc)
+				t.refs[idx].Store(id)
 			}
 			if t.used.Add(1)*4 > int64(len(t.slots))*3 {
 				v.ensureNext(t)
 				v.helpMigrate(t)
 			}
-			return markResult{isNew: true, expand: true}, false, nil
+			return markResult{isNew: true, expand: true, depth: depth, id: id}, false, nil
 
 		case val == vtSealedEmpty:
 			// The chain's free slot was sealed by migration: nothing
@@ -262,8 +264,9 @@ func (v *visitedTable) markIn(t *vtable, fp uint64, enc []byte, depth int) (m ma
 			// and treats a mismatch as a collision: paranoid errors,
 			// otherwise the colliding state keeps probing for its own
 			// slot (the exactness backstop).
+			id := fp
 			if t.refs != nil {
-				if !v.arena.equal(v.waitRef(t, idx), enc) {
+				if id = v.waitRef(t, idx); !v.arena.equal(id, enc) {
 					if v.paranoid {
 						return markResult{}, false, fmt.Errorf(
 							"check: hash collision: fingerprint %#x shared by two distinct states (%d-byte encoding)", fp, len(enc))
@@ -277,11 +280,12 @@ func (v *visitedTable) markIn(t *vtable, fp uint64, enc []byte, depth int) (m ma
 			}
 			// Live entry for this very state: min-depth merge.
 			for {
-				if depth >= vtSlotDepth(val) {
-					return markResult{}, false, nil
+				prior := vtSlotDepth(val)
+				if depth >= prior {
+					return markResult{depth: prior, id: id}, false, nil
 				}
 				if slot.CompareAndSwap(val, vtPack(fp, depth)) {
-					return markResult{expand: true}, false, nil
+					return markResult{expand: true, depth: prior, id: id}, false, nil
 				}
 				val = slot.Load()
 				if vtIsSealed(val) {
@@ -528,9 +532,11 @@ func (s *VisitedStats) merge(o *VisitedStats) {
 	s.Compact = s.Compact || o.Compact
 }
 
-// stats finishes any in-flight growth and scans the final table. Call
-// only after the run's marking has quiesced.
-func (v *visitedTable) stats() *VisitedStats {
+// stats finishes any in-flight growth and scans the final table,
+// returning its diagnostics and the deepest minimal depth of any entry
+// (0 for an empty table). Call only after the run's marking has
+// quiesced.
+func (v *visitedTable) stats() (*VisitedStats, int) {
 	v.drainMigration()
 	t := v.cur.Load()
 	s := &VisitedStats{
@@ -542,12 +548,16 @@ func (v *visitedTable) stats() *VisitedStats {
 		s.ArenaBytes = v.arena.bytes.Load()
 	}
 	mask := uint64(len(t.slots) - 1)
+	deepest := 0
 	for i := range t.slots {
 		val := t.slots[i].Load()
 		if val == 0 || val == vtSealedEmpty {
 			continue
 		}
 		s.Live++
+		if d := vtSlotDepth(val); d > deepest {
+			deepest = d
+		}
 		d := int((uint64(i) - t.home(vtSlotFP(val))) & mask)
 		if d > s.MaxProbe {
 			s.MaxProbe = d
@@ -557,7 +567,7 @@ func (v *visitedTable) stats() *VisitedStats {
 		}
 		s.ProbeHist[d]++
 	}
-	return s
+	return s, deepest
 }
 
 // encArena stores full state encodings for the exactness backstop:

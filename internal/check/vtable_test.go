@@ -28,19 +28,35 @@ func vtKey(k uint8) (h uint64, enc []byte) {
 	return fp<<vtDepthBits | uint64(k), []byte(fmt.Sprintf("state-encoding-%03d", k))
 }
 
+// vtRefEntry is one reference-model state: its minimal depth and the
+// identity the table reported when the state was first marked.
+type vtRefEntry struct {
+	depth int
+	id    uint64
+}
+
 // vtRefMark is the reference model: a plain min-depth map keyed by the
-// full encoding (exact mode) or the fingerprint (compact mode).
-func vtRefMark(ref map[string]int, key string, depth int) markResult {
+// full encoding (exact mode) or the fingerprint (compact mode). A new
+// key adopts the identity the table reported (id), which must be
+// non-zero and not already taken by another key; every later mark of
+// the key must report that identity and the prior minimal depth.
+func vtRefMark(ref map[string]vtRefEntry, ids map[uint64]string, key string, depth int, id uint64) markResult {
 	prior, ok := ref[key]
 	if !ok {
-		ref[key] = depth
-		return markResult{isNew: true, expand: true}
+		if _, taken := ids[id]; id == 0 || taken {
+			// A zero or reused identity is wrong whatever the table
+			// says: expect its complement, which cannot match.
+			return markResult{isNew: true, expand: true, depth: depth, id: ^id}
+		}
+		ids[id] = key
+		ref[key] = vtRefEntry{depth, id}
+		return markResult{isNew: true, expand: true, depth: depth, id: id}
 	}
-	if depth < prior {
-		ref[key] = depth
-		return markResult{expand: true}
+	if depth < prior.depth {
+		ref[key] = vtRefEntry{depth, prior.id}
+		return markResult{expand: true, depth: prior.depth, id: prior.id}
 	}
-	return markResult{}
+	return markResult{depth: prior.depth, id: prior.id}
 }
 
 // TestVTableMatchesReferenceMap checks the fingerprint table against
@@ -55,7 +71,8 @@ func TestVTableMatchesReferenceMap(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			prop := func(ops []vtOp) bool {
 				v := newVisitedTable(compact, false, 0, nil, 4)
-				ref := make(map[string]int)
+				ref := make(map[string]vtRefEntry)
+				ids := make(map[uint64]string)
 				for _, op := range ops {
 					h, enc := vtKey(op.Key)
 					refKey := string(enc)
@@ -68,7 +85,7 @@ func TestVTableMatchesReferenceMap(t *testing.T) {
 						t.Logf("mark error: %v", err)
 						return false
 					}
-					want := vtRefMark(ref, refKey, depth)
+					want := vtRefMark(ref, ids, refKey, depth, got.id)
 					if got != want {
 						t.Logf("key %d depth %d: got %+v want %+v", op.Key, depth, got, want)
 						return false
@@ -126,7 +143,7 @@ func TestVTableGrowthKeepsEntries(t *testing.T) {
 			t.Fatalf("key %d at depth %d-1: want depth improvement, got %+v", k, d, m)
 		}
 	}
-	s := v.stats()
+	s, _ := v.stats()
 	if s.Live != n {
 		t.Fatalf("stats.Live = %d, want %d", s.Live, n)
 	}
@@ -171,7 +188,7 @@ func TestVTableRaceHammer(t *testing.T) {
 	if v.size() != keys {
 		t.Fatalf("size %d after concurrent inserts, want %d", v.size(), keys)
 	}
-	if s := v.stats(); s.Live != keys {
+	if s, _ := v.stats(); s.Live != keys {
 		t.Fatalf("stats.Live = %d, want %d", s.Live, keys)
 	}
 	for k := 0; k < keys; k++ {
@@ -252,7 +269,7 @@ func TestVTableCompactSemantics(t *testing.T) {
 	if got := v.omission(); got != want {
 		t.Fatalf("omission = %g, want %g", got, want)
 	}
-	s := v.stats()
+	s, _ := v.stats()
 	if !s.Compact || s.ArenaBytes != 0 {
 		t.Fatalf("compact stats: %+v", s)
 	}

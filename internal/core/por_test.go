@@ -82,9 +82,13 @@ func TestPORMultiUEReduction(t *testing.T) {
 	if len(por.Violations) != 3 {
 		t.Errorf("3-UE defective world: got %d violations, want one S4 HOL violation per UE (3)", len(por.Violations))
 	}
-	// plain.Truncated is expected: the depth bound prunes revisiting
-	// paths after the full product is already enumerated (the state
-	// count below proves coverage: exactly per-UE-states cubed).
+	// The product lies within the depth bound (exactly per-UE states
+	// cubed). Truncated is read off the visited table's minimal depths,
+	// so a path that first reaches a state too deep no longer reports
+	// truncation.
+	if plain.Truncated {
+		t.Errorf("plain 3-UE run reports truncation; its %d states all lie within depth %d", plain.States, plain.MaxDepth)
+	}
 	if por.States*5 > plain.States {
 		t.Errorf("POR reduction below 5x: por=%d states, plain=%d states (%.1fx)",
 			por.States, plain.States, float64(plain.States)/float64(por.States))

@@ -11,6 +11,7 @@
 package fsm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -380,6 +381,75 @@ func (m *Machine) encode(dst []byte) []byte {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(ov.val))
 	}
 	return dst
+}
+
+// Decode sets the machine to the state encoded at the front of enc — the
+// inverse of Encode for a machine of the same spec — and returns the
+// rest of enc. Malformed input (truncated, an ordinal past the state
+// list, overflow names out of order) is an error and leaves the machine
+// in an unspecified but valid state. The decoded bytes become the
+// machine's memoized encoding.
+func (m *Machine) Decode(enc []byte) ([]byte, error) {
+	in := enc
+	if len(in) < 2 {
+		return nil, errTruncated
+	}
+	o := binary.LittleEndian.Uint16(in)
+	in = in[2:]
+	if o == stateEscape {
+		name, rest, err := cutName(in)
+		if err != nil {
+			return nil, err
+		}
+		m.state = State(name)
+		in = rest
+	} else {
+		st, ok := m.lay.state(o)
+		if !ok {
+			return nil, fmt.Errorf("fsm %s: decode: state ordinal %d out of range", m.spec.Name, o)
+		}
+		m.state = st
+	}
+	n := len(m.lay.init)
+	if len(in) < 4*n+2 {
+		return nil, errTruncated
+	}
+	m.vars = m.vars[:0]
+	for i := 0; i < n; i++ {
+		m.vars = append(m.vars, int32(binary.LittleEndian.Uint32(in[4*i:])))
+	}
+	in = in[4*n:]
+	nover := int(binary.LittleEndian.Uint16(in))
+	in = in[2:]
+	m.over = m.over[:0]
+	for i := 0; i < nover; i++ {
+		name, rest, err := cutName(in)
+		if err != nil {
+			return nil, err
+		}
+		if len(rest) < 4 {
+			return nil, errTruncated
+		}
+		if i > 0 && m.over[i-1].name >= name {
+			return nil, fmt.Errorf("fsm %s: decode: overflow variable %q out of order", m.spec.Name, name)
+		}
+		m.over = append(m.over, overVar{name: SymString(name), val: int32(binary.LittleEndian.Uint32(rest))})
+		in = rest[4:]
+	}
+	m.enc = append(m.enc[:0], enc[:len(enc)-len(in)]...)
+	return in, nil
+}
+
+// errTruncated reports an encoding that ends mid-field.
+var errTruncated = fmt.Errorf("fsm: decode: truncated encoding")
+
+// cutName splits a NUL-terminated name off the front of b.
+func cutName(b []byte) (string, []byte, error) {
+	i := bytes.IndexByte(b, 0)
+	if i < 0 {
+		return "", nil, errTruncated
+	}
+	return string(b[:i]), b[i+1:], nil
 }
 
 // String renders the machine's logical state for reports and goldens:

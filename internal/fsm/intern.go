@@ -74,10 +74,12 @@ type layout struct {
 	spec  *Spec
 	// ord maps each control state of the spec to its position in the
 	// sorted States() list — the u16 the encoding writes in place of
-	// the state name (see Machine.encode). It is built on first encode,
-	// so constructing machines does not pay for it.
+	// the state name (see Machine.encode) — and states is that list,
+	// the map's inverse for Machine.Decode. Both are built on first
+	// use, so constructing machines does not pay for them.
 	ordOnce sync.Once
 	ord     map[State]uint16
+	states  []State
 }
 
 // layouts caches one layout per *Spec. Specs are built once at package
@@ -122,18 +124,31 @@ const stateEscape = 0xFFFF
 // ordinal returns the state's position in the spec's sorted state list,
 // or false for a state the spec never mentions.
 func (l *layout) ordinal(st State) (uint16, bool) {
-	l.ordOnce.Do(func() {
-		states := l.spec.States()
-		l.ord = make(map[State]uint16, len(states))
-		for i, st := range states {
-			if i >= int(stateEscape) {
-				break // the rest encode by name
-			}
-			l.ord[st] = uint16(i)
-		}
-	})
+	l.ordOnce.Do(l.buildOrd)
 	o, ok := l.ord[st]
 	return o, ok
+}
+
+// state returns the control state at ordinal o, or false for an
+// ordinal past the spec's state list.
+func (l *layout) state(o uint16) (State, bool) {
+	l.ordOnce.Do(l.buildOrd)
+	if int(o) >= len(l.states) {
+		return "", false
+	}
+	return l.states[o], true
+}
+
+func (l *layout) buildOrd() {
+	states := l.spec.States()
+	if len(states) > int(stateEscape) {
+		states = states[:stateEscape] // the rest encode by name
+	}
+	l.states = states
+	l.ord = make(map[State]uint16, len(states))
+	for i, st := range states {
+		l.ord[st] = uint16(i)
+	}
 }
 
 // Slot returns the dense index of a declared variable of the spec, for

@@ -64,6 +64,9 @@ type nameRegistry struct {
 	sum  func([]byte) uint64
 	mu   sync.Mutex
 	sets map[uint64]string
+	// lays maps each plain globals header to a layout that wrote it:
+	// the inverse World.DecodeInto needs.
+	lays map[string]*glayout
 }
 
 // digests is the process-wide registry; layouts consult it once each,
@@ -105,6 +108,27 @@ func (r *nameRegistry) header(names []string, strip int) []byte {
 		return append(append(hdr, tagNames), set...)
 	}
 	return binary.LittleEndian.AppendUint64(append(hdr, tagDigest), d)
+}
+
+// addLayout records lay as a layout whose plain header is hdr, unless
+// one is recorded already.
+func (r *nameRegistry) addLayout(hdr []byte, lay *glayout) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.lays == nil {
+		r.lays = make(map[string]*glayout)
+	}
+	if _, ok := r.lays[string(hdr)]; !ok {
+		r.lays[string(hdr)] = lay
+	}
+}
+
+// layout returns a layout whose plain header is hdr.
+func (r *nameRegistry) layout(hdr []byte) (*glayout, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	lay, ok := r.lays[string(hdr)]
+	return lay, ok
 }
 
 // appendInt32s appends vs as 4-byte little-endian words.

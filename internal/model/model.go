@@ -105,6 +105,7 @@ func (g *glayout) header() []byte {
 		return *h
 	}
 	h := digests.header(g.names, 0)
+	digests.addLayout(h, g)
 	g.hdr.Store(&h)
 	return h
 }
